@@ -19,7 +19,6 @@ module Report = Tvs_obs.Report
 let scale : float option ref = ref None
 let only : string list ref = ref []
 let jobs : int option ref = ref None
-let batch : int option ref = ref None
 let out : string option ref = ref None
 
 let artifacts =
@@ -31,7 +30,7 @@ let artifacts =
 let usage_and_exit msg =
   Printf.eprintf "error: %s\n" msg;
   Printf.eprintf
-    "usage: bench [--scale FLOAT] [--jobs N] [--batch N] [--out FILE] [--cache DIR] [ARTIFACT...]\n";
+    "usage: bench [--scale FLOAT] [--jobs N] [--out FILE] [--cache DIR] [ARTIFACT...]\n";
   Printf.eprintf "valid artifacts: %s\n" (String.concat " " artifacts);
   exit 2
 
@@ -44,13 +43,6 @@ let parse_args () =
         | Some (Ok f) -> scale := Some f
         | Some (Error msg) -> usage_and_exit msg
         | None -> usage_and_exit (Printf.sprintf "invalid --scale value %S" v));
-        go rest
-    | [ "--batch" ] -> usage_and_exit "--batch requires a value"
-    | "--batch" :: v :: rest ->
-        (match Option.map Tvs_harness.Cli.check_batch (int_of_string_opt v) with
-        | Some (Ok b) -> batch := Some b
-        | Some (Error msg) -> usage_and_exit msg
-        | None -> usage_and_exit (Printf.sprintf "invalid --batch value %S" v));
         go rest
     | [ "--jobs" ] -> usage_and_exit "--jobs requires a value"
     | "--jobs" :: v :: rest ->
@@ -180,7 +172,7 @@ let micro_tests () =
              (Tvs_fault.Fault_sim.detected_faults s444_sim_full ~pi:s444_vec.Tvs_atpg.Cube.pi
                 ~state:s444_vec.Tvs_atpg.Cube.scan s444_faults)));
     (* The multi-vector screen behind candidate scoring: 16 vectors in one
-       call, so cone setup and injection tables amortize across the batch. *)
+       call, so cone setup and injection plans amortize across them. *)
     Test.make ~name:"table5/faultsim-matrix"
       (Staged.stage (fun () ->
            ignore (Tvs_fault.Fault_sim.detected_matrix s444_sim ~vectors:s444_vecs s444_faults)));
@@ -193,7 +185,7 @@ let run_micro () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
   let buf = Buffer.create 1024 in
   let benches = ref [] in
-  Tvs_fault.Fault_sim.reset_counters ();
+  Tvs_obs.Metrics.reset ~prefix:"faultsim." ();
   List.iter
     (fun test ->
       let results = Benchmark.all cfg [ instance ] test in
@@ -207,20 +199,7 @@ let run_micro () =
           | Some [] | None -> Buffer.add_string buf (Printf.sprintf "%-28s (no estimate)\n" name))
         analysis)
     tests;
-  let ctr = Tvs_fault.Fault_sim.counters () in
-  let evals = ctr.Tvs_fault.Fault_sim.gate_evals
-  and skipped = ctr.Tvs_fault.Fault_sim.gates_skipped in
-  let skip_pct =
-    if evals + skipped = 0 then 0.0
-    else 100.0 *. float_of_int skipped /. float_of_int (evals + skipped)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "faultsim counters: %d event runs, %d full runs, %d events fired, %d gate evals (%.1f%% \
-        skipped), %d faults dropped\n"
-       ctr.Tvs_fault.Fault_sim.event_runs ctr.Tvs_fault.Fault_sim.full_runs
-       ctr.Tvs_fault.Fault_sim.events_fired evals skip_pct
-       ctr.Tvs_fault.Fault_sim.faults_dropped);
+  Buffer.add_string buf ("faultsim counters: " ^ Experiments.faultsim_work () ^ "\n");
   (Buffer.contents buf, List.rev !benches)
 
 (* ------------------------------------------------------------------ *)
@@ -304,10 +283,8 @@ let write_report file =
 let () =
   parse_args ();
   (* --jobs (or TVS_JOBS, handled inside Pool) sets the process-wide default
-     fan-out, and --batch (or TVS_BATCH) the vector-batch size; every table
-     regenerates identically for any value of either. *)
+     fan-out; every table regenerates identically for any value. *)
   Option.iter Tvs_util.Pool.set_default_jobs !jobs;
-  Option.iter Tvs_fault.Fault_sim.set_default_batch !batch;
   let t0 = Unix.gettimeofday () in
   if wants "table1" then table "Table 1 / Figure 1" "table1" Experiments.table1;
   if wants "table2" then table "Table 2" "table2" (fun () -> Experiments.table2 ?scale:!scale ());

@@ -63,14 +63,15 @@ let scale_arg =
   let doc = "Linear scale factor applied to profile circuits." in
   Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F" ~doc)
 
-(* Fan-out width of the fault-simulation domain pool. The flag (or the
-   TVS_JOBS environment variable) sets the process-wide default that every
-   Fault_sim context created without an explicit [jobs] picks up; results
+(* Width of the shared domain pool. The flag (or the TVS_JOBS environment
+   variable) sets the process-wide default that every Fault_sim context, TPI
+   study and CEC sweep created without an explicit [jobs] picks up; results
    are bit-identical for every value. *)
 let jobs_arg =
   let doc =
-    "Number of domains for fault simulation (default: available cores). Results are identical \
-     for every value; only wall-clock time changes."
+    "Number of domains that run fault-simulation chunks, TPI candidate evaluations and CEC \
+     points (default: one less than the recommended domain count, at least 1). Results are \
+     identical for every value; only wall-clock time changes."
   in
   let jobs_conv =
     Arg.conv ~docv:"N"
@@ -87,28 +88,11 @@ let jobs_arg =
 
 let set_jobs = Option.iter Tvs_util.Pool.set_default_jobs
 
-(* Vector-batch size for multi-vector screening (Fault_sim.detected_matrix).
-   Like --jobs, a pure scheduling knob: the flag (or TVS_BATCH) sets the
-   process-wide default, and results are bit-identical for every value. *)
-let batch_arg =
-  let doc =
-    "Vectors per domain-pool chunk in multi-vector fault screening (default: 16). Results are \
-     identical for every value; only wall-clock time changes."
-  in
-  let batch_conv =
-    Arg.conv ~docv:"N"
-      ( (fun s ->
-          match int_of_string_opt s with
-          | None -> Error (`Msg (Printf.sprintf "invalid batch size %S" s))
-          | Some b -> msg_of_string_error (Tvs_harness.Cli.check_batch b)),
-        Format.pp_print_int )
-  in
-  Arg.(
-    value
-    & opt (some batch_conv) None
-    & info [ "batch" ] ~env:(Cmd.Env.info "TVS_BATCH") ~docv:"N" ~doc)
+(* A run the input cannot support: diagnose on stderr, exit 123. *)
+let die msg =
+  prerr_endline ("tvs: " ^ msg);
+  exit Cmd.Exit.some_error
 
-let set_batch = Option.iter Tvs_fault.Fault_sim.set_default_batch
 let prep_of ?scale spec = Prep.of_circuit (load_circuit ?scale spec)
 
 (* Observability flags, shared by every subcommand. Both channels bypass
@@ -364,9 +348,8 @@ let atpg_cmd =
     Term.(const run $ obs_term $ circuit_arg $ scale_arg $ jobs_arg)
 
 let faultsim_cmd =
-  let run () () spec scale jobs batch =
+  let run () () spec scale jobs =
     set_jobs jobs;
-    set_batch batch;
     let prep = prep_of ~scale spec in
     let d = Experiments.baseline_detection prep in
     Printf.printf "%s: %d/%d faults detected by the %d baseline vectors (%.2f%%)\n"
@@ -375,7 +358,7 @@ let faultsim_cmd =
       (100.0 *. float_of_int d.Experiments.detected /. float_of_int d.Experiments.faults)
   in
   Cmd.v (Cmd.info "faultsim" ~doc:"Fault-simulate the baseline test set")
-    Term.(const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ jobs_arg $ batch_arg)
+    Term.(const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ jobs_arg)
 
 (* Scheme and selection share their vocabulary with the serve protocol's job
    fields through Tvs_harness.Cli, so the CLI and a serve client can never
@@ -464,9 +447,8 @@ let preflight_arg =
   Arg.(value & flag & info [ "preflight" ] ~doc)
 
 let stitch_cmd =
-  let run () () spec scale scheme selection shift preflight jobs batch ckpt every =
+  let run () () spec scale scheme selection shift preflight jobs ckpt every =
     set_jobs jobs;
-    set_batch batch;
     let prep = prep_of ~scale spec in
     let shift_policy = Option.map (fun s -> Policy.Fixed s) shift in
     let checkpoint =
@@ -478,18 +460,18 @@ let stitch_cmd =
     in
     let r =
       try
-        Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?jobs ?batch
+        Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?jobs
           ?checkpoint ~label:"cli" prep
-      with Failure msg when preflight ->
-        prerr_endline ("tvs: " ^ msg);
-        exit Cmd.Exit.some_error
+      with
+      | Circuit.Build_error msg -> die msg
+      | Failure msg when preflight -> die msg
     in
     print_stitch_summary prep scheme selection r
   in
   Cmd.v (Cmd.info "stitch" ~doc:"Run the stitched compression flow")
     Term.(
       const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ scheme_arg $ selection_arg
-      $ shift_arg $ preflight_arg $ jobs_arg $ batch_arg $ checkpoint_file_arg
+      $ shift_arg $ preflight_arg $ jobs_arg $ checkpoint_file_arg
       $ checkpoint_every_arg)
 
 let resume_cmd =
@@ -502,13 +484,8 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some resume_conv) None & info [] ~docv:"FILE" ~doc)
   in
-  let die msg =
-    prerr_endline ("tvs: " ^ msg);
-    exit Cmd.Exit.some_error
-  in
-  let run () () file jobs batch ckpt every =
+  let run () () file jobs ckpt every =
     set_jobs jobs;
-    set_batch batch;
     match Checkpoint.load file with
     | Error e ->
         die (Printf.sprintf "cannot resume from %S: %s" file (Codec.error_to_string e))
@@ -551,7 +528,7 @@ let resume_cmd =
         in
         let r =
           Experiments.run_flow ~scheme:ck.Checkpoint.scheme ?shift:shift_policy
-            ~selection:ck.Checkpoint.selection ?jobs ?batch ~resume:ck.Checkpoint.snapshot
+            ~selection:ck.Checkpoint.selection ?jobs ~resume:ck.Checkpoint.snapshot
             ?checkpoint ~label:ck.Checkpoint.label prep
         in
         print_stitch_summary prep ck.Checkpoint.scheme ck.Checkpoint.selection r
@@ -562,7 +539,7 @@ let resume_cmd =
          "Continue an interrupted stitched run from a checkpoint; the output is byte-identical \
           to the uninterrupted run's")
     Term.(
-      const run $ obs_term $ cache_term $ file_arg $ jobs_arg $ batch_arg $ checkpoint_file_arg
+      const run $ obs_term $ cache_term $ file_arg $ jobs_arg $ checkpoint_file_arg
       $ checkpoint_every_arg)
 
 let tpi_cmd =
@@ -614,9 +591,8 @@ let tpi_cmd =
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run () () spec scale points budget shift po_taps controls format verify jobs batch =
+  let run () () spec scale points budget shift po_taps controls format verify jobs =
     set_jobs jobs;
-    set_batch batch;
     let c = load_circuit ~scale spec in
     let options = { Tpi.points; budget; shift; po_taps; controls } in
     match Tpi.run ~options c with
@@ -629,9 +605,7 @@ let tpi_cmd =
           let transformed = Tvs_tpi.Transform.apply c cands in
           verify_gate ~what:"tpi" c transformed
         end
-    | exception Circuit.Build_error msg ->
-        prerr_endline ("tvs: " ^ msg);
-        exit Cmd.Exit.some_error
+    | exception Circuit.Build_error msg -> die msg
   in
   Cmd.v
     (Cmd.info "tpi"
@@ -640,8 +614,7 @@ let tpi_cmd =
           greedily by re-running the stitched flow, report hidden-to-caught conversions")
     Term.(
       const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ points_arg $ budget_arg
-      $ tpi_shift_arg $ po_taps_arg $ controls_arg $ format_arg $ verify_arg $ jobs_arg
-      $ batch_arg)
+      $ tpi_shift_arg $ po_taps_arg $ controls_arg $ format_arg $ verify_arg $ jobs_arg)
 
 let table_cmd =
   let which =
@@ -660,9 +633,8 @@ let table_cmd =
     let doc = "Restrict to these circuits (comma-separated)." in
     Arg.(value & opt (some string) None & info [ "circuits" ] ~docv:"LIST" ~doc)
   in
-  let run () () n scale circuits jobs batch =
+  let run () () n scale circuits jobs =
     set_jobs jobs;
-    set_batch batch;
     let circuits = Option.map (String.split_on_char ',') circuits in
     (* scale < 0 means "per-circuit defaults". *)
     let scale = if scale < 0.0 then None else Some scale in
@@ -681,21 +653,19 @@ let table_cmd =
     Arg.(value & opt float (-1.0) & info [ "scale" ] ~docv:"F" ~doc)
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table")
-    Term.(const run $ obs_term $ cache_term $ which $ scale_arg $ circuits_arg $ jobs_arg
-      $ batch_arg)
+    Term.(const run $ obs_term $ cache_term $ which $ scale_arg $ circuits_arg $ jobs_arg)
 
 let ablation_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the ablations." in
     Arg.(value & opt string "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
-  let run () scale circuit jobs batch =
+  let run () scale circuit jobs =
     set_jobs jobs;
-    set_batch batch;
     print_string (Experiments.ablations ~scale ~circuit ?jobs ())
   in
   Cmd.v (Cmd.info "ablation" ~doc:"Run the design-choice ablations")
-    Term.(const run $ obs_term $ scale_arg $ circuit_arg $ jobs_arg $ batch_arg)
+    Term.(const run $ obs_term $ scale_arg $ circuit_arg $ jobs_arg)
 
 let misr_cmd =
   let circuit_arg =
@@ -768,9 +738,11 @@ let export_cmd =
       }
     in
     let r =
-      Tvs_core.Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
-        ~rng:(Tvs_util.Rng.of_string (Circuit.name c ^ ":export")) prep.Prep.ctx
-        ~faults:prep.Prep.testable
+      try
+        Tvs_core.Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
+          ~rng:(Tvs_util.Rng.of_string (Circuit.name c ^ ":export")) prep.Prep.ctx
+          ~faults:prep.Prep.testable
+      with Circuit.Build_error msg -> die msg
     in
     let stitched =
       Tvs_scan.Tester_format.of_stitched ~chain_len ~npi:(Circuit.num_inputs c)
@@ -1078,9 +1050,8 @@ let serve_cmd =
     in
     Arg.(value & opt int 1000 & info [ "checkpoint-threshold" ] ~docv:"N" ~doc)
   in
-  let run () () socket port state every threshold jobs batch =
+  let run () () socket port state every threshold jobs =
     set_jobs jobs;
-    set_batch batch;
     let listen =
       match (socket, port) with
       | Some path, None -> Tvs_serve.Server.Unix_socket path
@@ -1118,7 +1089,7 @@ let serve_cmd =
           for restart recovery, and streams progress events")
     Term.(
       const run $ obs_term $ cache_term $ socket_arg $ port_arg $ state_arg
-      $ checkpoint_every_arg $ threshold_arg $ jobs_arg $ batch_arg)
+      $ checkpoint_every_arg $ threshold_arg $ jobs_arg)
 
 (* --version: the code generation (git revision when available) plus the two
    on-disk schema versions a deployment cares about — the store frame schema

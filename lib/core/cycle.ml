@@ -35,11 +35,11 @@ type t = {
   mutable last_shift : int;
 }
 
-let create ?(scheme = Xor_scheme.Nxor) ?jobs ?batch circuit ~faults =
+let create ?(scheme = Xor_scheme.Nxor) ?jobs circuit ~faults =
   {
     circuit;
     scheme;
-    sim = Fault_sim.create ?jobs ?batch circuit;
+    sim = Fault_sim.create ?jobs circuit;
     faults;
     state = Array.make (Array.length faults) U;
     good = Array.make (Circuit.num_flops circuit) false;

@@ -20,15 +20,13 @@ type t
 val create :
   ?scheme:Tvs_scan.Xor_scheme.t ->
   ?jobs:int ->
-  ?batch:int ->
   Tvs_netlist.Circuit.t ->
   faults:Tvs_fault.Fault.t array ->
   t
 (** Fresh machine: every fault uncaught, chain contents all-zero (the first
     vector is fully shifted so the initial contents never matter). [jobs] is
-    the fault-simulation fan-out width and [batch] the vector-batch size
-    (see {!Tvs_fault.Fault_sim.create}); results are identical for every
-    value of either. *)
+    the fault-simulation fan-out width (see {!Tvs_fault.Fault_sim.create});
+    results are identical for every value. *)
 
 val circuit : t -> Tvs_netlist.Circuit.t
 val scheme : t -> Tvs_scan.Xor_scheme.t

@@ -18,6 +18,12 @@ let m_stitched_vectors = Metrics.counter "engine.stitched_vectors"
 let m_extra_vectors = Metrics.counter "engine.extra_vectors"
 let m_atpg_attempts = Metrics.counter "engine.atpg_attempts"
 
+(* Fault simulation's own counters (registration is idempotent by name),
+   sampled around each cycle for the per-cycle log. *)
+let m_events_fired = Metrics.counter "faultsim.events_fired"
+let m_gates_skipped = Metrics.counter "faultsim.gates_skipped"
+let m_faults_dropped = Metrics.counter "faultsim.faults_dropped"
+
 type config = {
   scheme : Xor_scheme.t;
   shift : Policy.shift_policy;
@@ -27,7 +33,6 @@ type config = {
   stagnation_limit : int;
   max_targets_per_cycle : int;
   jobs : int option;
-  batch : int option;
   preflight : bool;
 }
 
@@ -41,7 +46,6 @@ let default_config ~chain_len =
     stagnation_limit = 25;
     max_targets_per_cycle = 25;
     jobs = None;
-    batch = None;
     preflight = false;
   }
 
@@ -103,11 +107,11 @@ let wanted_candidates = function
    f_u (full classification per candidate would dominate the runtime on big
    circuits); [Weighted] sums SCOAP hardness instead of counting. All
    candidates are screened in one [detected_matrix] call, so the cone order
-   and injection tables are built once per cycle and the pool's vector-batch
-   axis applies. A fault counts as differentiated iff its detection flag is
-   set — exactly the [outcome <> Same] criterion of per-candidate scoring,
-   so the scores (and therefore the selected candidate and every downstream
-   byte) are unchanged. *)
+   and injection plans are built once per cycle. A fault counts as
+   differentiated iff its detection flag is set — exactly the
+   [outcome <> Same] criterion of per-candidate scoring, so the scores (and
+   therefore the selected candidate and every downstream byte) are
+   unchanged. *)
 let sample_size = 512
 
 let score_candidates ~sim ~machine ~hardness selection ~sample candidates =
@@ -179,8 +183,9 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
           (Printf.sprintf "preflight lint failed on %s: %d error(s), first: [%s] %s"
              (Circuit.name c) (List.length errs) first.rule first.message)
   end;
-  let machine = Cycle.create ~scheme:cfg.scheme ?jobs:cfg.jobs ?batch:cfg.batch c ~faults in
-  let sim = Tvs_fault.Fault_sim.create ?jobs:cfg.jobs ?batch:cfg.batch c in
+  if chain_len = 0 then raise (Circuit.Build_error "stitching needs flip-flops");
+  let machine = Cycle.create ~scheme:cfg.scheme ?jobs:cfg.jobs c ~faults in
+  let sim = Tvs_fault.Fault_sim.create ?jobs:cfg.jobs c in
   let hardness =
     let guide = Podem.scoap ctx in
     Array.map (fun f -> Scoap.fault_hardness guide f) faults
@@ -242,15 +247,13 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
     List.rev (gather [] 0 0 order)
   in
   let apply_candidate s cand =
-    let ctrs0 = Tvs_fault.Fault_sim.counters () in
-    let ev0 = ctrs0.Tvs_fault.Fault_sim.events_fired in
-    let sk0 = ctrs0.Tvs_fault.Fault_sim.gates_skipped in
-    let dr0 = ctrs0.Tvs_fault.Fault_sim.faults_dropped in
+    let ev0 = Metrics.counter_value m_events_fired in
+    let sk0 = Metrics.counter_value m_gates_skipped in
+    let dr0 = Metrics.counter_value m_faults_dropped in
     let report =
       Trace.with_span "engine.stitch" ~args:[ ("shift", string_of_int s) ] (fun () ->
           Cycle.step machine ~pi:cand.pi ~fresh:cand.fresh)
     in
-    let ctrs = Tvs_fault.Fault_sim.counters () in
     shifts := s :: !shifts;
     stimuli := (cand.pi, cand.fresh) :: !stimuli;
     peak_hidden := max !peak_hidden (Cycle.num_hidden machine);
@@ -267,9 +270,9 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
         became_hidden;
         hidden_after = Cycle.num_hidden machine;
         uncaught_after = Cycle.num_uncaught machine;
-        events_fired = ctrs.Tvs_fault.Fault_sim.events_fired - ev0;
-        gates_skipped = ctrs.Tvs_fault.Fault_sim.gates_skipped - sk0;
-        faults_dropped = ctrs.Tvs_fault.Fault_sim.faults_dropped - dr0;
+        events_fired = Metrics.counter_value m_events_fired - ev0;
+        gates_skipped = Metrics.counter_value m_gates_skipped - sk0;
+        faults_dropped = Metrics.counter_value m_faults_dropped - dr0;
       }
       :: !log
   in
@@ -351,7 +354,7 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
          append any fallback vector that detects a still-missing fault. *)
       let aborted = ref gen.Generator.aborted in
       if !aborted <> [] && Array.length fallback > 0 then begin
-        let sim = Tvs_fault.Fault_sim.create ?jobs:cfg.jobs ?batch:cfg.batch c in
+        let sim = Tvs_fault.Fault_sim.create ?jobs:cfg.jobs c in
         let missing = ref !aborted in
         (* Accumulate appended vectors in reverse and splice once at the end:
            list append inside the loop is quadratic in the fallback count. *)

@@ -26,12 +26,6 @@ type config = {
       (** fault-simulation fan-out width; [None] defers to
           {!Tvs_util.Pool.default_jobs}. Results are bit-identical for every
           value — the knob trades wall-clock for cores only. *)
-  batch : int option;
-      (** vectors per pool chunk in multi-vector screening; [None] defers to
-          {!Tvs_fault.Fault_sim.default_batch}. Like [jobs], a pure
-          scheduling knob: results are bit-identical for every value, and it
-          is excluded from {!Tvs_store.Digest.config} so checkpoints and
-          cache keys stay compatible across settings. *)
   preflight : bool;
       (** run the cheap lint gate ({!Tvs_lint.Lint.preflight}: structural +
           constant propagation, no SAT) before the first cycle and raise
@@ -117,5 +111,7 @@ val run :
     the ones the original run was created with — enforced by digest checks
     at the {!Tvs_store.Checkpoint} layer). [checkpoint] is [(every, save)]:
     [save] receives a fresh snapshot after every [every]-th stitched cycle.
-    Raises [Invalid_argument] when a resumed snapshot's shape does not match
-    the circuit or fault list. *)
+    Raises [Tvs_netlist.Circuit.Build_error] when the circuit has no
+    flip-flops (there is no scan chain to stitch through; checked after the
+    preflight gate), and [Invalid_argument] when a resumed snapshot's shape
+    does not match the circuit or fault list. *)

@@ -22,6 +22,18 @@ type slot = { s_par : Parallel.t; s_ev : Event.t Lazy.t }
 
 type fanout = { pool : Pool.t; slots : slot array }
 
+(* Everything a screen of one fault array needs besides the stimulus: the
+   chunk order and, per 62-fault chunk, the injection list for lanes
+   1..len (full path) and its compiled plan (event path; empty on the full
+   path). Built on the submitter before any fan-out; pool workers only read
+   it. *)
+type prepared = {
+  faults : Fault.t array;
+  order : int array;
+  inj : Parallel.injection list array;
+  plans : Tvs_sim.Inject.plan array;
+}
+
 type t = {
   circuit : Circuit.t;
   soa : Tvs_sim.Soa.t;  (* flat gate tables, shared read-only by every slot *)
@@ -29,32 +41,11 @@ type t = {
   ev : Event.t Lazy.t;
   mode : mode;
   jobs : int;
-  batch : int;  (* vectors per pool chunk in multi-vector screening *)
   mutable fanout : fanout option;
-  (* One-entry memos of the per-chunk injection lists and their compiled
-     plans for the last fault array screened through this context (see
-     [ordered_injections] / [ordered_plans]). *)
-  mutable inj_memo : (Fault.t array * Parallel.injection list array) option;
-  mutable plan_memo : (Fault.t array * Tvs_sim.Inject.plan array) option;
+  mutable prepared : prepared option;  (* one-entry memo, see [prepare] *)
 }
 
-let batch_override = ref None
-
-let set_default_batch b =
-  if b < 1 then invalid_arg "Fault_sim.set_default_batch: batch must be >= 1";
-  batch_override := Some b
-
-let default_batch () =
-  match !batch_override with
-  | Some b -> b
-  | None -> (
-      match Tvs_util.Env.positive_int ~fallback:"16" "TVS_BATCH" with
-      | Some b -> b
-      | None -> 16)
-
-let create ?(mode = Event_driven) ?jobs ?batch circuit =
-  let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
-  let batch = max 1 (match batch with Some b -> b | None -> default_batch ()) in
+let create ?(mode = Event_driven) ?jobs circuit =
   let soa = Tvs_sim.Soa.create circuit in
   {
     circuit;
@@ -62,51 +53,15 @@ let create ?(mode = Event_driven) ?jobs ?batch circuit =
     par = Parallel.create ~soa circuit;
     ev = lazy (Event.create ~soa circuit);
     mode;
-    jobs;
-    batch;
+    jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ());
     fanout = None;
-    inj_memo = None;
-    plan_memo = None;
+    prepared = None;
   }
 
-let of_parallel ?jobs ?batch par =
-  let circuit = Parallel.circuit par in
-  let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
-  let batch = max 1 (match batch with Some b -> b | None -> default_batch ()) in
-  let soa = Parallel.soa par in
-  {
-    circuit;
-    soa;
-    par;
-    ev = lazy (Event.create ~soa circuit);
-    mode = Event_driven;
-    jobs;
-    batch;
-    fanout = None;
-    inj_memo = None;
-    plan_memo = None;
-  }
-
-let circuit t = t.circuit
 let parallel t = t.par
-let mode t = t.mode
-let jobs t = t.jobs
-let batch t = t.batch
 
-type counters = {
-  mutable full_runs : int;
-  mutable event_runs : int;
-  mutable events_fired : int;
-  mutable gate_evals : int;
-  mutable gates_skipped : int;
-  mutable faults_dropped : int;
-}
-
-(* The historical global counter record now lives in the metrics registry:
-   workers record into their own domain shards (lock-free), and the record is
-   rebuilt on demand by summing shards. Pool completion gives the submitter a
-   happens-before edge over every worker write, so a snapshot taken between
-   batches sees exact totals. *)
+(* Work counters. Every add happens on the submitter once a call's chunks
+   are done, so the totals are identical for every jobs value. *)
 let m_full_runs = Metrics.counter "faultsim.full_runs"
 let m_event_runs = Metrics.counter "faultsim.event_runs"
 let m_events_fired = Metrics.counter "faultsim.events_fired"
@@ -115,18 +70,6 @@ let m_gates_skipped = Metrics.counter "faultsim.gates_skipped"
 let m_faults_dropped = Metrics.counter "faultsim.faults_dropped"
 let m_chunks = Metrics.counter "faultsim.chunks"
 let m_batches = Metrics.counter "faultsim.batches"
-
-let counters () =
-  {
-    full_runs = Metrics.counter_value m_full_runs;
-    event_runs = Metrics.counter_value m_event_runs;
-    events_fired = Metrics.counter_value m_events_fired;
-    gate_evals = Metrics.counter_value m_gate_evals;
-    gates_skipped = Metrics.counter_value m_gates_skipped;
-    faults_dropped = Metrics.counter_value m_faults_dropped;
-  }
-
-let reset_counters () = Metrics.reset ~prefix:"faultsim." ()
 
 let note_dropped n = Metrics.add m_faults_dropped n
 
@@ -165,15 +108,12 @@ let outcomes_of_run (r : Parallel.result) ~nfaults =
    event activity stays confined to a few cones instead of spraying one cone
    per lane across the whole circuit. Sorting by the cone representative (the
    lowest-numbered observation point a stem reaches, O(E) to index once per
-   circuit) clusters overlapping cones at O(n log n) per batch; the secondary
-   key packs stems of the same sub-cone next to each other.
+   circuit) clusters overlapping cones at O(n log n) per fault array; the
+   secondary key packs stems of the same sub-cone next to each other.
 
    The permutation is a performance hint only — outcomes are mapped back
-   through it, so any order is correct. That makes the one-entry memo below
-   safe: drivers like [Generator.drop_detected] re-screen the same physical
-   fault array against many vectors, and re-sorting it each time would cost
-   more than the simulation itself. *)
-let compute_chunk_order c (faults : Fault.t array) =
+   through it, so any order is correct. *)
+let chunk_order c (faults : Fault.t array) =
   let n = Array.length faults in
   if n <= chunk_size then Array.init n (fun i -> i)
   else begin
@@ -197,54 +137,38 @@ let compute_chunk_order c (faults : Fault.t array) =
     order
   end
 
-let order_memo : (Fault.t array * int array) option ref = ref None
-
-let chunk_order c faults =
-  match !order_memo with
-  | Some (prev, order) when prev == faults -> order
-  | Some _ | None ->
-      let order = compute_chunk_order c faults in
-      order_memo := Some (faults, order);
-      order
-
-let broadcast_words arr = Array.map (fun b -> if b then Lanes.all_mask else 0) arr
-
-(* Per-chunk injection lists for [faults] under [order]. The lane assignment
-   [i + 1] is a pure function of (faults, order), and [chunk_order] is
-   deterministic per physical fault array, so repeated screens of the same
-   array — the shape of every stitching cycle and of multi-vector batches —
-   reuse one set of lists instead of rebuilding them per chunk per vector.
-   Always built (and memoized) on the submitter before any fan-out; pool
-   workers only read the lists. *)
-let ordered_injections t (faults : Fault.t array) order =
-  match t.inj_memo with
-  | Some (prev, lists) when prev == faults -> lists
+(* The order, the lane assignment [i + 1] and the compiled plans are pure
+   functions of the fault array, so a context memoizes them for the last
+   physical array it screened: drivers like [Generator.drop_detected] and
+   multi-vector screens re-screen one array against many vectors, and
+   re-sorting and recompiling it each time would cost more than the
+   simulation itself. *)
+let prepare t (faults : Fault.t array) =
+  match t.prepared with
+  | Some p when p.faults == faults -> p
   | Some _ | None ->
       let n = Array.length faults in
-      let lists =
+      let order = chunk_order t.circuit faults in
+      let inj =
         Array.init (num_chunks n) (fun ci ->
             let pos = ci * chunk_size in
             let len = min chunk_size (n - pos) in
             List.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1)))
       in
-      t.inj_memo <- Some (faults, lists);
-      lists
+      let plans =
+        match t.mode with
+        | Full -> [||]
+        | Event_driven -> Array.map (Event.compile (Lazy.force t.ev)) inj
+      in
+      let p = { faults; order; inj; plans } in
+      t.prepared <- Some p;
+      p
 
-(* Event-path counterpart: the same per-chunk lists, compiled once into
-   {!Tvs_sim.Inject.plan}s. Replaying a plan costs a few dozen array writes
-   where reinstalling the list costs a validated, allocating walk per chunk
-   per vector — the dominant fixed cost of event-driven screening. Compiled
-   on the submitter (before any fan-out) and shared read-only. *)
-let ordered_plans t (faults : Fault.t array) order =
-  match t.plan_memo with
-  | Some (prev, plans) when prev == faults -> plans
-  | Some _ | None ->
-      let ev0 = Lazy.force t.ev in
-      let plans = Array.map (Event.compile ev0) (ordered_injections t faults order) in
-      t.plan_memo <- Some (faults, plans);
-      plans
+let chunk_len p ci = min chunk_size (Array.length p.faults - (ci * chunk_size))
 
-(* --- pool fan-out ----------------------------------------------------- *)
+let broadcast_words arr = Array.map (fun b -> if b then Lanes.all_mask else 0) arr
+
+(* --- the parallel axis: 62-fault chunks -------------------------------- *)
 
 let fanout_ctx t =
   match t.fanout with
@@ -264,56 +188,28 @@ let fanout_ctx t =
       t.fanout <- Some fo;
       fo
 
-(* Run [nchunks] independent full-broadcast chunks, across the pool when both
-   the context and the workload are wide enough. Results (and the merged
-   counters) are indexed by chunk, so every jobs value — including the inline
-   jobs=1 path — produces identical output. *)
-let run_full_chunks t ~nchunks f =
-  let out =
-    if t.jobs = 1 || nchunks <= 1 then Array.init nchunks (fun ci -> f t.par ci)
-    else begin
-      let fo = fanout_ctx t in
-      Pool.parallel_map_chunks fo.pool ~n:nchunks (fun ~slot ci -> f fo.slots.(slot).s_par ci)
-    end
-  in
-  Metrics.add m_full_runs nchunks;
-  Metrics.add m_chunks nchunks;
-  out
-
-(* Event-driven counterpart. [t.ev] must already hold the stimulus; worker
-   slots inherit it by baseline adoption (O(nets) blits, no gate work) on
-   their first chunk of each submission. Each chunk records its own
-   event/eval tallies into the executing domain's metric shards; per-chunk
-   work is deterministic and shard merge is a plain sum, so the totals are
-   identical for every jobs value. *)
-let run_event_chunks t ~nchunks f =
-  let ev0 = Lazy.force t.ev in
-  let tally ev r =
-    Metrics.incr m_event_runs;
-    Metrics.add m_events_fired (Event.last_events ev);
-    Metrics.add m_gate_evals (Event.last_evals ev);
-    Metrics.add m_gates_skipped (Event.full_evals ev - Event.last_evals ev);
+(* Run [nchunks] independent chunks, [f slot ci] computing chunk [ci] on the
+   engines of [slot], across the pool when both the context and the workload
+   are wide enough. On the event path [t.ev] must already hold the stimulus;
+   worker slots inherit it by baseline adoption (O(nets) blits, no gate work)
+   on their first chunk of each submission. Results and per-chunk event
+   tallies are indexed by chunk and summed here, so outputs and counters are
+   identical for every jobs value — including jobs = 1, which runs inline
+   on the caller. *)
+let map_chunks t ~nchunks f =
+  let events = Array.make nchunks 0 and evals = Array.make nchunks 0 in
+  let run slot ci =
+    let r = f slot ci in
+    (match t.mode with
+    | Full -> ()
+    | Event_driven ->
+        let ev = Lazy.force slot.s_ev in
+        events.(ci) <- Event.last_events ev;
+        evals.(ci) <- Event.last_evals ev);
     r
   in
   let out =
-    if t.jobs = 1 || nchunks <= 1 then begin
-      (* Accumulate the tallies locally and flush once: the registry merges
-         shards by summation, so totals equal the per-chunk flushes of the
-         fan-out path below for every jobs value. *)
-      let events = ref 0 and evals = ref 0 in
-      let out =
-        Array.init nchunks (fun ci ->
-            let r = f ev0 ci in
-            events := !events + Event.last_events ev0;
-            evals := !evals + Event.last_evals ev0;
-            r)
-      in
-      Metrics.add m_event_runs nchunks;
-      Metrics.add m_events_fired !events;
-      Metrics.add m_gate_evals !evals;
-      Metrics.add m_gates_skipped ((nchunks * Event.full_evals ev0) - !evals);
-      out
-    end
+    if t.jobs = 1 || nchunks <= 1 then Array.init nchunks (run { s_par = t.par; s_ev = t.ev })
     else begin
       let fo = fanout_ctx t in
       (* Fresh per submission: a slot's baseline is only valid for this
@@ -321,121 +217,76 @@ let run_event_chunks t ~nchunks f =
       let adopted = Array.make (Array.length fo.slots) false in
       adopted.(0) <- true;
       Pool.parallel_map_chunks fo.pool ~n:nchunks (fun ~slot ci ->
-          let ev = Lazy.force fo.slots.(slot).s_ev in
-          if not adopted.(slot) then begin
-            Event.adopt_baseline ev ~from:ev0;
+          let s = fo.slots.(slot) in
+          if t.mode = Event_driven && not adopted.(slot) then begin
+            Event.adopt_baseline (Lazy.force s.s_ev) ~from:(Lazy.force t.ev);
             adopted.(slot) <- true
           end;
-          tally ev (f ev ci))
+          run s ci)
     end
   in
+  (match t.mode with
+  | Full -> Metrics.add m_full_runs nchunks
+  | Event_driven ->
+      let evals = Array.fold_left ( + ) 0 evals in
+      Metrics.add m_event_runs nchunks;
+      Metrics.add m_events_fired (Array.fold_left ( + ) 0 events);
+      Metrics.add m_gate_evals evals;
+      Metrics.add m_gates_skipped ((nchunks * Event.full_evals (Lazy.force t.ev)) - evals));
   Metrics.add m_chunks nchunks;
   out
 
-(* Full-broadcast path: one complete levelized pass per chunk. *)
+(* --- entry points ----------------------------------------------------- *)
 
-let run_chunk_full par ~pi_words ~state_words faults =
-  let injections =
-    List.mapi (fun i f -> Fault.to_injection f ~lane:(i + 1)) (Array.to_list faults)
-  in
-  let r = Parallel.run par ~pi:pi_words ~state:state_words ~injections in
-  (lane0_frame r, outcomes_of_run r ~nfaults:(Array.length faults))
-
-let run_batch_full t ~pi ~state ~faults =
-  let pi_words = broadcast_words pi in
-  let state_words = broadcast_words state in
+(* Outcomes under one stimulus. [states = None] broadcasts [state] to every
+   lane; [Some states] gives fault [i]'s machine [states.(i)], packed per
+   chunk with the good state in lane 0. The full path runs one complete
+   levelized pass per chunk, at least one so the good frame can come from
+   lane 0; the event path evaluates the fault-free machine once in
+   [set_stimulus] and then only the gates each chunk's fault cones
+   disturb. *)
+let simulate t ~pi ~state ~faults ~states =
+  let p = prepare t faults in
   let n = Array.length faults in
-  (* At least one (possibly empty) chunk: the good frame comes from lane 0. *)
-  let nchunks = max 1 (num_chunks n) in
-  let chunk_out =
-    run_full_chunks t ~nchunks (fun par ci ->
+  let pack ci =
+    Option.map
+      (fun states ->
         let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        run_chunk_full par ~pi_words ~state_words (Array.sub faults pos len))
+        Array.init (Array.length state) (fun j ->
+            let w = ref (if state.(j) then 1 else 0) in
+            for i = 0 to chunk_len p ci - 1 do
+              if states.(p.order.(pos + i)).(j) then w := !w lor (1 lsl (i + 1))
+            done;
+            !w))
+      states
   in
-  let outcomes = Array.make n Same in
-  Array.iteri
-    (fun ci (_, out) -> Array.blit out 0 outcomes (ci * chunk_size) (Array.length out))
-    chunk_out;
-  { good = fst chunk_out.(0); outcomes }
-
-let run_per_state_full t ~pi ~good_state ~faults ~states =
-  let n = Array.length faults in
-  let nflops = Array.length good_state in
-  let pi_words = broadcast_words pi in
-  let nchunks = max 1 (num_chunks n) in
-  let chunk_out =
-    run_full_chunks t ~nchunks (fun par ci ->
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        (* Pack lane 0 from the fault-free state and lanes 1..len from each
-           fault's private state. *)
-        let state_words =
-          Array.init nflops (fun j ->
-              let w = ref (if good_state.(j) then 1 else 0) in
-              for i = 0 to len - 1 do
-                if states.(pos + i).(j) then w := !w lor (1 lsl (i + 1))
-              done;
-              !w)
+  let good, chunk_out =
+    match t.mode with
+    | Full ->
+        let pi_words = broadcast_words pi and state_words = broadcast_words state in
+        let out =
+          map_chunks t ~nchunks:(max 1 (num_chunks n)) (fun slot ci ->
+              let injections = if ci < Array.length p.inj then p.inj.(ci) else [] in
+              let state = Option.value (pack ci) ~default:state_words in
+              let r = Parallel.run slot.s_par ~pi:pi_words ~state ~injections in
+              (lane0_frame r, outcomes_of_run r ~nfaults:(chunk_len p ci)))
         in
-        run_chunk_full par ~pi_words ~state_words (Array.sub faults pos len))
-  in
-  let outcomes = Array.make n Same in
-  Array.iteri
-    (fun ci (_, out) -> Array.blit out 0 outcomes (ci * chunk_size) (Array.length out))
-    chunk_out;
-  { good = fst chunk_out.(0); outcomes }
-
-(* Event-driven path: the fault-free pass happens once in [set_stimulus];
-   each chunk then only re-evaluates the gates its fault cones disturb. *)
-
-let run_batch_event t ~pi ~state ~faults =
-  let ev0 = Lazy.force t.ev in
-  Event.set_stimulus ev0 ~pi ~state;
-  let good = { po = Event.good_po ev0; capture = Event.good_capture ev0 } in
-  let n = Array.length faults in
-  let order = chunk_order t.circuit faults in
-  let plans = ordered_plans t faults order in
-  let chunk_out =
-    run_event_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
-        let len = min chunk_size (n - (ci * chunk_size)) in
-        outcomes_of_run (Event.run ev ~plan:plans.(ci) ()) ~nfaults:len)
+        (fst out.(0), Array.map snd out)
+    | Event_driven ->
+        let ev0 = Lazy.force t.ev in
+        Event.set_stimulus ev0 ~pi ~state;
+        let out =
+          map_chunks t ~nchunks:(num_chunks n) (fun slot ci ->
+              let r = Event.run (Lazy.force slot.s_ev) ?states:(pack ci) ~plan:p.plans.(ci) () in
+              outcomes_of_run r ~nfaults:(chunk_len p ci))
+        in
+        ({ po = Event.good_po ev0; capture = Event.good_capture ev0 }, out)
   in
   let outcomes = Array.make n Same in
   Array.iteri
     (fun ci out ->
       let pos = ci * chunk_size in
-      Array.iteri (fun i o -> outcomes.(order.(pos + i)) <- o) out)
-    chunk_out;
-  { good; outcomes }
-
-let run_per_state_event t ~pi ~good_state ~faults ~states =
-  let ev0 = Lazy.force t.ev in
-  Event.set_stimulus ev0 ~pi ~state:good_state;
-  let good = { po = Event.good_po ev0; capture = Event.good_capture ev0 } in
-  let n = Array.length faults in
-  let nflops = Array.length good_state in
-  let order = chunk_order t.circuit faults in
-  let plans = ordered_plans t faults order in
-  let chunk_out =
-    run_event_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        let state_words =
-          Array.init nflops (fun j ->
-              let w = ref (if good_state.(j) then 1 else 0) in
-              for i = 0 to len - 1 do
-                if states.(order.(pos + i)).(j) then w := !w lor (1 lsl (i + 1))
-              done;
-              !w)
-        in
-        outcomes_of_run (Event.run ev ~states:state_words ~plan:plans.(ci) ()) ~nfaults:len)
-  in
-  let outcomes = Array.make n Same in
-  Array.iteri
-    (fun ci out ->
-      let pos = ci * chunk_size in
-      Array.iteri (fun i o -> outcomes.(order.(pos + i)) <- o) out)
+      Array.iteri (fun i o -> outcomes.(p.order.(pos + i)) <- o) out)
     chunk_out;
   { good; outcomes }
 
@@ -443,10 +294,7 @@ let run_batch t ~pi ~state ~faults =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.run_batch"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
-    (fun () ->
-      match t.mode with
-      | Full -> run_batch_full t ~pi ~state ~faults
-      | Event_driven -> run_batch_event t ~pi ~state ~faults)
+    (fun () -> simulate t ~pi ~state ~faults ~states:None)
 
 let run_per_state t ~pi ~good_state ~faults ~states =
   if Array.length states <> Array.length faults then
@@ -454,65 +302,49 @@ let run_per_state t ~pi ~good_state ~faults ~states =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.run_per_state"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
-    (fun () ->
-      match t.mode with
-      | Full -> run_per_state_full t ~pi ~good_state ~faults ~states
-      | Event_driven -> run_per_state_event t ~pi ~good_state ~faults ~states)
+    (fun () -> simulate t ~pi ~state:good_state ~faults ~states:(Some states))
 
 let detects t ~pi ~state fault =
   let r = run_batch t ~pi ~state ~faults:[| fault |] in
   match r.outcomes.(0) with Same -> false | Po_detected | Capture_differs _ -> true
 
-(* Detection flags don't need the per-fault faulty-capture payloads that
-   [outcomes_of_run] materializes, so the screening entry point reads the
-   lane difference masks directly. *)
+(* Detection flags of a prepared array under one stimulus. Flags don't need
+   the per-fault faulty-capture payloads that [outcomes_of_run]
+   materializes, so each chunk only yields its lane difference mask. *)
+let screen t p ~pi ~state =
+  let nchunks = num_chunks (Array.length p.faults) in
+  let used ci = Lanes.mask (chunk_len p ci + 1) in
+  let diffs =
+    match t.mode with
+    | Full ->
+        let pi_words = broadcast_words pi and state_words = broadcast_words state in
+        map_chunks t ~nchunks (fun slot ci ->
+            let r = Parallel.run slot.s_par ~pi:pi_words ~state:state_words ~injections:p.inj.(ci) in
+            diff_mask r.po (used ci) lor diff_mask r.capture (used ci))
+    | Event_driven ->
+        Event.set_stimulus (Lazy.force t.ev) ~pi ~state;
+        map_chunks t ~nchunks (fun slot ci ->
+            Event.run_diff (Lazy.force slot.s_ev) ~plan:p.plans.(ci) ~used:(used ci) ())
+  in
+  let flags = Array.make (Array.length p.faults) false in
+  Array.iteri
+    (fun ci diff ->
+      let pos = ci * chunk_size in
+      for i = 0 to chunk_len p ci - 1 do
+        if Lanes.get diff (i + 1) then flags.(p.order.(pos + i)) <- true
+      done)
+    diffs;
+  flags
+
 let detected_faults t ~pi ~state faults =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.detected_faults"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
-  @@ fun () ->
-  let n = Array.length faults in
-  let flags = Array.make n false in
-  let order = chunk_order t.circuit faults in
-  let scatter chunk_out =
-    Array.iteri
-      (fun ci diff ->
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        for i = 0 to len - 1 do
-          if Lanes.get diff (i + 1) then flags.(order.(pos + i)) <- true
-        done)
-      chunk_out
-  in
-  (match t.mode with
-  | Full ->
-      let inj = ordered_injections t faults order in
-      let pi_words = broadcast_words pi in
-      let state_words = broadcast_words state in
-      scatter
-        (run_full_chunks t ~nchunks:(num_chunks n) (fun par ci ->
-             let len = min chunk_size (n - (ci * chunk_size)) in
-             let r = Parallel.run par ~pi:pi_words ~state:state_words ~injections:inj.(ci) in
-             let used = Lanes.mask (len + 1) in
-             diff_mask r.po used lor diff_mask r.capture used))
-  | Event_driven ->
-      let plans = ordered_plans t faults order in
-      let ev0 = Lazy.force t.ev in
-      Event.set_stimulus ev0 ~pi ~state;
-      scatter
-        (run_event_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
-             let len = min chunk_size (n - (ci * chunk_size)) in
-             Event.run_diff ev ~plan:plans.(ci) ~used:(Lanes.mask (len + 1)) ())));
-  flags
+    (fun () -> screen t (prepare t faults) ~pi ~state)
 
-(* Multi-vector screening. The pool axis here is *vector batches* of size
-   [t.batch], not 62-fault chunks: one pool submission covers the whole
-   vector set, the cone order and injection lists are built once and shared
-   read-only, and each vector's full stimulus pass is private to the slot
-   that screens it (no baseline adoption traffic). Results are keyed by
-   batch index and every vector's work is identical no matter which slot
-   runs it, so the matrix — and the merged stable counters — are
-   byte-identical for every [jobs] and every [batch] setting. *)
+(* Multi-vector screening: a plain loop over the vectors that prepares the
+   fault array once, counts as one batch and records one span. Each vector
+   fans out along the chunk axis like every other entry point. *)
 let detected_matrix t ~vectors faults =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.detected_matrix"
@@ -522,85 +354,7 @@ let detected_matrix t ~vectors faults =
         ("faults", string_of_int (Array.length faults));
       ]
   @@ fun () ->
-  let nvec = Array.length vectors in
-  let n = Array.length faults in
-  if nvec = 0 then [||]
-  else begin
-    let nchunks = num_chunks n in
-    let order = chunk_order t.circuit faults in
-    (* Built (or memo-fetched) on the submitter before any fan-out: pool
-       workers only read them. Each mode builds just its own shape. *)
-    let inj = match t.mode with Full -> ordered_injections t faults order | Event_driven -> [||] in
-    let plans =
-      match t.mode with Event_driven -> ordered_plans t faults order | Full -> [||]
-    in
-    let scatter diff ~pos ~len flags =
-      for i = 0 to len - 1 do
-        if Lanes.get diff (i + 1) then flags.(order.(pos + i)) <- true
-      done
-    in
-    let screen_event ev (pi, state) =
-      Event.set_stimulus ev ~pi ~state;
-      let flags = Array.make n false in
-      let events = ref 0 and evals = ref 0 in
-      for ci = 0 to nchunks - 1 do
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        let diff = Event.run_diff ev ~plan:plans.(ci) ~used:(Lanes.mask (len + 1)) () in
-        events := !events + Event.last_events ev;
-        evals := !evals + Event.last_evals ev;
-        scatter diff ~pos ~len flags
-      done;
-      (* One flush per vector: shard merge is a sum, so totals match a
-         per-chunk flush exactly, for every jobs and batch value. *)
-      Metrics.add m_event_runs nchunks;
-      Metrics.add m_events_fired !events;
-      Metrics.add m_gate_evals !evals;
-      Metrics.add m_gates_skipped ((nchunks * Event.full_evals ev) - !evals);
-      Metrics.add m_chunks nchunks;
-      flags
-    in
-    let screen_full par (pi, state) =
-      let pi_words = broadcast_words pi in
-      let state_words = broadcast_words state in
-      let flags = Array.make n false in
-      for ci = 0 to nchunks - 1 do
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        let r = Parallel.run par ~pi:pi_words ~state:state_words ~injections:inj.(ci) in
-        let used = Lanes.mask (len + 1) in
-        scatter (diff_mask r.po used lor diff_mask r.capture used) ~pos ~len flags
-      done;
-      Metrics.add m_full_runs nchunks;
-      Metrics.add m_chunks nchunks;
-      flags
-    in
-    let screen slot v =
-      match t.mode with
-      | Event_driven -> screen_event (Lazy.force slot.s_ev) v
-      | Full -> screen_full slot.s_par v
-    in
-    let bsize = t.batch in
-    let nbatches = (nvec + bsize - 1) / bsize in
-    let screen_batch slot bi =
-      let pos = bi * bsize in
-      let len = min bsize (nvec - pos) in
-      Array.init len (fun k -> screen slot vectors.(pos + k))
-    in
-    let out =
-      if t.jobs = 1 || nbatches <= 1 then begin
-        let slot0 = { s_par = t.par; s_ev = t.ev } in
-        Array.init nbatches (screen_batch slot0)
-      end
-      else begin
-        let fo = fanout_ctx t in
-        Pool.parallel_map_chunks fo.pool ~n:nbatches (fun ~slot bi ->
-            screen_batch fo.slots.(slot) bi)
-      end
-    in
-    let matrix = Array.make nvec [||] in
-    Array.iteri
-      (fun bi batch -> Array.iteri (fun k flags -> matrix.((bi * bsize) + k) <- flags) batch)
-      out;
-    matrix
-  end
+  if Array.length vectors = 0 then [||]
+  else
+    let p = prepare t faults in
+    Array.map (fun (pi, state) -> screen t p ~pi ~state) vectors

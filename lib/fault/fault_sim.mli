@@ -15,15 +15,16 @@
     {!Event_driven} (the default) evaluates the fault-free machine once per
     stimulus and then propagates only lane events inside the chunk's fault
     cones ({!Tvs_sim.Event}); chunks are grouped so faults with overlapping
-    cones share lanes. Work done and skipped is tallied in {!counters}.
+    cones share lanes. Work done and skipped is tallied in the [faultsim.*]
+    counters of {!Tvs_obs.Metrics}.
 
-    Chunks are independent, so on both paths they fan out across a
-    {!Tvs_util.Pool} domain pool when [jobs > 1]: each pool slot owns a
-    private engine context (the engines are not thread-safe), and results and
-    counter tallies are merged in chunk order, making outcomes and counters
-    bit-identical for every [jobs] value — including [jobs = 1], which never
-    touches the pool. Entry points must be called from one domain at a time
-    (the submitter). *)
+    There is one parallel axis: the 62-fault chunks of a call fan out across
+    a {!Tvs_util.Pool} domain pool when [jobs > 1]. Each pool slot owns a
+    private engine context (the engines are not thread-safe), and results
+    and counter tallies are merged in chunk order, making outcomes and
+    counters bit-identical for every [jobs] value — including [jobs = 1],
+    which never touches the pool. Entry points must be called from one
+    domain at a time (the submitter). *)
 
 type outcome =
   | Same  (** response identical to the fault-free machine *)
@@ -43,66 +44,18 @@ type mode =
 type t
 (** Reusable fault-simulation context for one circuit: a {!Tvs_sim.Parallel}
     engine plus a lazily-built {!Tvs_sim.Event} engine (and, when [jobs > 1],
-    per-domain copies of both). Not thread-safe. *)
+    per-domain copies of both). It memoizes the chunk order and injection
+    plans of the last fault array it screened, keyed by physical identity,
+    so do not mutate a fault array between screens. Not thread-safe. *)
 
-val create : ?mode:mode -> ?jobs:int -> ?batch:int -> Tvs_netlist.Circuit.t -> t
+val create : ?mode:mode -> ?jobs:int -> Tvs_netlist.Circuit.t -> t
 (** [jobs] is the fan-out width (clamped to at least 1); defaults to
-    {!Tvs_util.Pool.default_jobs}. Batches too small to chunk always run
-    inline on the caller's domain. [batch] is the number of vectors per pool
-    chunk in {!detected_matrix} (clamped to at least 1); defaults to
-    {!default_batch}. Like [jobs], [batch] is a scheduling knob only: it
-    never changes any result. *)
-
-val of_parallel : ?jobs:int -> ?batch:int -> Tvs_sim.Parallel.t -> t
-(** Wrap an existing broadcast engine (event-driven mode). The event engine
-    is built lazily on first use. *)
-
-val set_default_batch : int -> unit
-(** Process-wide default for [?batch] (the [--batch] CLI flag lands here).
-    Raises [Invalid_argument] if the value is < 1. *)
-
-val default_batch : unit -> int
-(** The default vector-batch size: {!set_default_batch}'s value if set, else
-    the [TVS_BATCH] environment variable, else 16. A set but non-positive or
-    unparseable [TVS_BATCH] falls back to 16 and warns through
-    {!Tvs_util.Env}. *)
-
-val circuit : t -> Tvs_netlist.Circuit.t
+    {!Tvs_util.Pool.default_jobs}. Calls too small to chunk always run
+    inline on the caller's domain. *)
 
 val parallel : t -> Tvs_sim.Parallel.t
 (** The underlying broadcast engine, for callers that also need raw
     {!Tvs_sim.Parallel.run} access on the same circuit. *)
-
-val mode : t -> mode
-
-val jobs : t -> int
-(** Fan-out width this context was created with. *)
-
-val batch : t -> int
-(** Vector-batch size this context was created with. *)
-
-(** Cumulative work counters across all contexts. The numbers live in the
-    [faultsim.*] counters of the {!Tvs_obs.Metrics} registry (per-domain
-    shards, merged by summation); this record is a point-in-time snapshot
-    for callers that sample deltas (the engine per cycle, the bench
-    harness). *)
-type counters = {
-  mutable full_runs : int;  (** complete levelized passes *)
-  mutable event_runs : int;  (** event-driven chunk runs *)
-  mutable events_fired : int;  (** net-value changes propagated *)
-  mutable gate_evals : int;  (** gates evaluated on the event path *)
-  mutable gates_skipped : int;  (** gate evaluations avoided vs. full passes *)
-  mutable faults_dropped : int;  (** faults permanently dropped once caught *)
-}
-
-val counters : unit -> counters
-(** Snapshot the cumulative totals. Taken between batches (the entry points
-    are submitter-side), the pool's completion barrier guarantees every
-    worker contribution is visible. *)
-
-val reset_counters : unit -> unit
-(** Zero the [faultsim.*] metrics (and therefore the {!counters}
-    snapshot). *)
 
 val note_dropped : int -> unit
 (** Record that [n] caught faults were dropped from further simulation. *)
@@ -132,10 +85,8 @@ val detected_matrix :
     against the whole fault list: row [v] equals
     [detected_faults t ~pi ~state faults] for vector [v].
 
-    This is the batched form of per-vector screening: the cone order and
-    per-chunk injection tables are built once for the entire call, and the
-    domain-pool axis is vector batches of size {!batch} rather than 62-fault
-    chunks — so one pool submission amortizes fan-out overhead across the
-    whole vector set. Rows are merged by batch index and each vector's work
-    is slot-independent, making the matrix byte-identical for every [jobs]
-    and [batch] value. *)
+    A loop over the vectors that amortizes the per-array setup: the cone
+    order and compiled injection plans are built once for the whole call,
+    and the call counts as one [faultsim.batches] and one
+    [faultsim.detected_matrix] span. Each vector fans out along the chunk
+    axis like {!detected_faults}. *)

@@ -111,10 +111,6 @@ let check_jobs j =
   if j >= 1 then Ok j
   else Error (Printf.sprintf "--jobs must be at least 1 (got %d)" j)
 
-let check_batch b =
-  if b >= 1 then Ok b
-  else Error (Printf.sprintf "--batch must be at least 1 (got %d)" b)
-
 let check_scale f =
   if f > 0.0 && f <= 1.0 then Ok f
   else

@@ -59,9 +59,6 @@ val check_table : int -> (int, string) result
 val check_jobs : int -> (int, string) result
 (** Fan-out width for the fault-simulation domain pool: at least 1. *)
 
-val check_batch : int -> (int, string) result
-(** Vector-batch size for multi-vector screening: at least 1. *)
-
 val check_scale : float -> (float, string) result
 (** Profile scale factor: must lie in (0, 1]. Values above 1 would blow up
     synthetic profiles past their reference sizes, and non-positive values

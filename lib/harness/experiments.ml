@@ -18,6 +18,7 @@ module Fig1 = Tvs_circuits.Fig1
 module Table = Tvs_util.Table
 module Rng = Tvs_util.Rng
 module Wire = Tvs_util.Wire
+module Metrics = Tvs_obs.Metrics
 module Store_digest = Tvs_store.Digest
 module Cache = Tvs_store.Cache
 
@@ -37,15 +38,14 @@ type run_summary = {
    [baseline_detection] consults it. Keys are content digests of the inputs
    that determine the result — circuit structure plus engine configuration
    plus the label that seeds the RNG — so a changed netlist or option can
-   never replay a stale row, while [jobs] and [batch] (results are
-   invariant to both) and the host are free to differ between the writing
-   and the reading run. *)
+   never replay a stale row, while [jobs] (results are invariant to it) and
+   the host are free to differ between the writing and the reading run. *)
 
 let active_cache : Cache.t option ref = ref None
 let set_cache c = active_cache := c
 let cache () = !active_cache
 
-let config_for ?scheme ?shift ?selection ?jobs ?batch ?preflight (prep : Prep.t) =
+let config_for ?scheme ?shift ?selection ?jobs ?preflight (prep : Prep.t) =
   let chain_len = Circuit.num_flops prep.circuit in
   let base = Engine.default_config ~chain_len in
   {
@@ -54,7 +54,6 @@ let config_for ?scheme ?shift ?selection ?jobs ?batch ?preflight (prep : Prep.t)
     shift = Option.value ~default:base.Engine.shift shift;
     selection = Option.value ~default:base.Engine.selection selection;
     jobs = (match jobs with Some _ -> jobs | None -> base.Engine.jobs);
-    batch = (match batch with Some _ -> batch | None -> base.Engine.batch);
     preflight = Option.value ~default:base.Engine.preflight preflight;
   }
 
@@ -132,12 +131,12 @@ let lint_report ?options ?lines c =
           Cache.store cache ~kind:lint_kind ~key (fun w -> Tvs_lint.Lint.encode_report w r);
           r)
 
-let run_flow ?scheme ?shift ?selection ?jobs ?batch ?preflight ?resume ?checkpoint ~label
+let run_flow ?scheme ?shift ?selection ?jobs ?preflight ?resume ?checkpoint ~label
     (prep : Prep.t) =
   Tvs_obs.Trace.with_span "flow"
     ~args:[ ("circuit", Circuit.name prep.Prep.circuit); ("label", label) ]
   @@ fun () ->
-  let config = config_for ?scheme ?shift ?selection ?jobs ?batch ?preflight prep in
+  let config = config_for ?scheme ?shift ?selection ?jobs ?preflight prep in
   let key =
     Option.map
       (fun _ ->
@@ -208,8 +207,7 @@ let baseline_detection (prep : Prep.t) =
     let sim = Fault_sim.create prep.circuit in
     let hit = Array.make (Array.length prep.faults) false in
     (* One matrix call over the whole baseline set: the cone order and
-       injection tables are built once, and the pool axis (when jobs > 1)
-       is vector batches. *)
+       injection plans are built once for every vector. *)
     let vectors =
       Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) prep.baseline.Baseline.vectors
     in
@@ -473,10 +471,23 @@ let table4 ?scale ?(circuits = default_table2_circuits) () =
 (* ------------------------------------------------------------------ *)
 (* Table 5: large circuits under the best scheme.                      *)
 
+let faultsim_work () =
+  let ctr name = Metrics.counter_value (Metrics.counter ("faultsim." ^ name)) in
+  let gate_evals = ctr "gate_evals" and gates_skipped = ctr "gates_skipped" in
+  let skip_pct =
+    let total = gate_evals + gates_skipped in
+    if total = 0 then 0.0 else 100.0 *. float_of_int gates_skipped /. float_of_int total
+  in
+  Printf.sprintf
+    "%d event runs, %d full runs, %d events fired, %d gate evals (%.1f%% skipped), %d faults \
+     dropped"
+    (ctr "event_runs") (ctr "full_runs") (ctr "events_fired") gate_evals skip_pct
+    (ctr "faults_dropped")
+
 let table5 ?scale ?(circuits = default_table5_circuits) () =
   let tbl = Table.create [ "circ"; "I/O"; "scan#"; "TV"; "ex"; "m"; "t"; "cov" ] in
   let ms = ref [] and ts = ref [] in
-  Fault_sim.reset_counters ();
+  Metrics.reset ~prefix:"faultsim." ();
   List.iter
     (fun name ->
       let sc = match scale with Some s -> s | None -> table5_default_scale name in
@@ -500,18 +511,8 @@ let table5 ?scale ?(circuits = default_table5_circuits) () =
   Table.add_rule tbl;
   Table.add_row tbl
     [ "Ave"; ""; ""; ""; ""; Table.fmt_ratio (mean !ms); Table.fmt_ratio (mean !ts); "" ];
-  let ctr = Fault_sim.counters () in
-  let skip_pct =
-    let total = ctr.Fault_sim.gate_evals + ctr.Fault_sim.gates_skipped in
-    if total = 0 then 0.0
-    else 100.0 *. float_of_int ctr.Fault_sim.gates_skipped /. float_of_int total
-  in
   "Table 5: large circuits (variable shift, most-faults, NXOR)\n" ^ Table.render tbl
-  ^ Printf.sprintf
-      "simulator: %d event runs, %d full runs, %d events fired, %d gate evals (%.1f%% skipped), \
-       %d faults dropped\n"
-      ctr.Fault_sim.event_runs ctr.Fault_sim.full_runs ctr.Fault_sim.events_fired
-      ctr.Fault_sim.gate_evals skip_pct ctr.Fault_sim.faults_dropped
+  ^ "simulator: " ^ faultsim_work () ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md §6).                                           *)
@@ -555,11 +556,11 @@ let ablations ?(scale = 1.0) ?(circuit = "s953") ?jobs () =
     List.sort_uniq compare
       [ 1; 2; 4; (match jobs with Some j -> max 1 j | None -> Tvs_util.Pool.default_jobs ()) ]
   in
-  let screen_time j b =
-    let sim = Fault_sim.create ~jobs:j ~batch:b c in
+  let screen_time j =
+    let sim = Fault_sim.create ~jobs:j c in
     snd (time_it (fun () -> ignore (Fault_sim.detected_matrix sim ~vectors:vec_pairs faults)))
   in
-  let scaling = List.map (fun j -> (j, screen_time j 1)) jobs_sweep in
+  let scaling = List.map (fun j -> (j, screen_time j)) jobs_sweep in
   let base_time = List.assoc 1 scaling in
   Buffer.add_string buf "  domain-pool scaling (wall clock):";
   List.iter
@@ -568,17 +569,6 @@ let ablations ?(scale = 1.0) ?(circuit = "s953") ?jobs () =
         (Printf.sprintf " jobs=%d %.3fs (%.2fx)" j tm
            (if tm > 0.0 then base_time /. tm else nan)))
     scaling;
-  Buffer.add_char buf '\n';
-  (* 1c. Vector-batch size under the widest pool of the sweep: how coarse
-     the vector axis can get before slots idle. Results are identical at
-     every (jobs, batch); only the wall clock moves. *)
-  let widest = List.fold_left max 1 jobs_sweep in
-  let batch_sweep = [ 1; 4; 16 ] in
-  let batch_scaling = List.map (fun b -> (b, screen_time widest b)) batch_sweep in
-  Buffer.add_string buf (Printf.sprintf "  vector-batch scaling (jobs=%d):" widest);
-  List.iter
-    (fun (b, tm) -> Buffer.add_string buf (Printf.sprintf " batch=%d %.3fs" b tm))
-    batch_scaling;
   Buffer.add_char buf '\n';
   (* 2. SCOAP-guided vs naive PODEM backtrace. *)
   let gen_with ~guided ~dropping label =

@@ -49,7 +49,6 @@ val config_for :
   ?shift:Tvs_core.Policy.shift_policy ->
   ?selection:Tvs_core.Policy.selection ->
   ?jobs:int ->
-  ?batch:int ->
   ?preflight:bool ->
   Prep.t ->
   Tvs_core.Engine.config
@@ -72,7 +71,6 @@ val run_flow :
   ?shift:Tvs_core.Policy.shift_policy ->
   ?selection:Tvs_core.Policy.selection ->
   ?jobs:int ->
-  ?batch:int ->
   ?preflight:bool ->
   ?resume:Tvs_core.Engine.snapshot ->
   ?checkpoint:int * (Tvs_core.Engine.snapshot -> unit) ->
@@ -81,10 +79,8 @@ val run_flow :
   run_summary
 (** One stitched run on a prepared circuit, defaults: NXOR, variable shift,
     most-faults selection. [jobs] sets the fault-simulation fan-out width
-    (default {!Tvs_util.Pool.default_jobs}) and [batch] the vector-batch
-    size of multi-vector screening (default
-    {!Tvs_fault.Fault_sim.default_batch}); the summary is bit-identical for
-    every value of either. [preflight] (default off) aborts with [Failure] on
+    (default {!Tvs_util.Pool.default_jobs}); the summary is bit-identical for
+    every value. [preflight] (default off) aborts with [Failure] on
     error-severity lint findings before the engine starts; it never changes
     the results of a run that passes, so cache keys and checkpoint digests
     ignore it. Exposed for the examples and the CLI.
@@ -117,6 +113,11 @@ val table3 : ?scale:float -> ?circuits:string list -> unit -> string
 val table4 : ?scale:float -> ?circuits:string list -> unit -> string
 (** Vector selection: random vs hardness vs most-faults. *)
 
+val faultsim_work : unit -> string
+(** The [faultsim.*] work counters of {!Tvs_obs.Metrics} as one line:
+    event and full runs, events fired, gate evaluations (with the share
+    skipped) and faults dropped. *)
+
 val table5 : ?scale:float -> ?circuits:string list -> unit -> string
 (** Large circuits under the best scheme (variable shift + most-faults +
     NXOR), with I/O and scan-length columns. *)
@@ -124,8 +125,7 @@ val table5 : ?scale:float -> ?circuits:string list -> unit -> string
 val ablations : ?scale:float -> ?circuit:string -> ?jobs:int -> unit -> string
 (** The DESIGN.md §6 design-choice ablations: parallel vs serial fault
     simulation, domain-pool scaling at 1/2/4/[jobs] domains (wall clock;
-    [jobs] defaults to {!Tvs_util.Pool.default_jobs}), vector-batch size
-    scaling at the widest pool of the sweep, SCOAP-guided vs naive
+    [jobs] defaults to {!Tvs_util.Pool.default_jobs}), SCOAP-guided vs naive
     backtrace, fault dropping on/off, collapsing on/off. *)
 
 val misr_study : ?scale:float -> ?circuit:string -> unit -> string

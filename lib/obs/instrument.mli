@@ -17,5 +17,5 @@ val install_pool_probe : unit -> unit
 
 val install_env_warning_counter : unit -> unit
 (** Route {!Tvs_util.Env} misconfiguration warnings (a set but unparseable
-    [TVS_JOBS]/[TVS_BATCH]) into the [util.env.invalid] counter, backfilling
+    [TVS_JOBS]) into the [util.env.invalid] counter, backfilling
     warnings emitted before installation. Idempotent. *)

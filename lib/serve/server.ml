@@ -323,7 +323,7 @@ let run_job t (p : pending) emit =
             Experiments.run_flow ~scheme:job.scheme ?shift:shift_policy
               ~selection:job.selection ?resume ?checkpoint ~label:job.label prep
           with
-          | exception Failure msg -> Error msg
+          | exception (Circuit.Build_error msg | Failure msg) -> Error msg
           | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
           | summary ->
               Hashtbl.replace t.seen key_hex ();

@@ -51,9 +51,9 @@ let config ~(config : Tvs_core.Engine.config) ~label =
       Wire.write_varint w config.max_cycles;
       Wire.write_varint w config.stagnation_limit;
       Wire.write_varint w config.max_targets_per_cycle;
-      (* config.jobs and config.batch are NOT digested: results are
-         invariant to both, so checkpoints and cache entries written at one
-         setting replay at any other. *)
+      (* config.jobs is NOT digested: results are invariant to it, so
+         checkpoints and cache entries written at one width replay at any
+         other. *)
       Wire.write_string w label)
 
 let encode = Wire.write_i64

@@ -14,7 +14,7 @@
 
     Everything is deterministic: candidate order, the chunk-ordered pool
     results, and the jobs-invariant flow summaries make the study
-    byte-identical at every [--jobs]/[--batch]. When a result cache is
+    byte-identical at every [--jobs]. When a result cache is
     installed ({!Tvs_harness.Experiments.set_cache}) each evaluation's flow
     memoizes per modified-circuit digest under kind ["EXPR"], and the whole
     study memoizes under kind ["TPIS"] keyed by the base circuit digest and

@@ -1,6 +1,6 @@
 (** Environment-variable knobs with misconfiguration reporting.
 
-    The scheduling knobs ([TVS_JOBS], [TVS_BATCH]) are read through
+    The scheduling knob [TVS_JOBS] is read through
     {!positive_int}, which distinguishes "unset" (use the default, silently)
     from "set but unparseable" (use the default, but say so): a deployment
     that exports [TVS_JOBS=sixteen] gets a one-line stderr warning and a tick

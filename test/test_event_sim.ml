@@ -10,6 +10,7 @@ module Fault_sim = Tvs_fault.Fault_sim
 module Profiles = Tvs_circuits.Profiles
 module Synth = Tvs_circuits.Synth
 module Rng = Tvs_util.Rng
+module Metrics = Tvs_obs.Metrics
 
 (* Same deterministic family as test_properties.ml. *)
 let tiny_profile i =
@@ -233,13 +234,11 @@ let qcheck_jobs_equivalence =
    sequential run tallies. s444's 763 collapsed faults span 13 chunks —
    enough for real fan-out. *)
 let counters_snapshot () =
-  let c = Fault_sim.counters () in
-  ( c.Fault_sim.full_runs,
-    c.Fault_sim.event_runs,
-    c.Fault_sim.events_fired,
-    c.Fault_sim.gate_evals,
-    c.Fault_sim.gates_skipped,
-    c.Fault_sim.faults_dropped )
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"faultsim." name)
+    (Metrics.snapshot ())
+
+let zero_counters () = Metrics.reset ~prefix:"faultsim." ()
 
 let test_counters_merge_across_jobs () =
   let c = Synth.generate_named "s444" in
@@ -248,7 +247,7 @@ let test_counters_merge_across_jobs () =
   let stimuli = Array.init 4 (fun _ -> random_stimulus rng c) in
   let tally mode jobs =
     let sim = Fault_sim.create ~mode ~jobs c in
-    Fault_sim.reset_counters ();
+    zero_counters ();
     let flags =
       Array.map (fun (pi, state) -> Fault_sim.detected_faults sim ~pi ~state faults) stimuli
     in
@@ -268,7 +267,7 @@ let test_counters_merge_across_jobs () =
             true (ctr1 = ctrj))
         [ 2; 4 ])
     [ Fault_sim.Event_driven; Fault_sim.Full ];
-  Fault_sim.reset_counters ()
+  zero_counters ()
 
 (* --- multi-vector screening -------------------------------------------- *)
 
@@ -294,26 +293,39 @@ let qcheck_matrix_equals_per_vector =
                matrix vectors)
         [ Fault_sim.Event_driven; Fault_sim.Full ])
 
-(* 8. The batch knob, like jobs, is a pure scheduling choice: every
-   (jobs, batch) combination returns the byte-identical matrix. batch=3
-   leaves a ragged final batch; batch=16 swallows the set whole. *)
-let qcheck_batch_and_jobs_invariance =
-  QCheck.Test.make ~name:"batch=1 equals batch=16 across jobs" ~count:15
-    QCheck.(pair (int_range 0 24) small_int)
-    (fun (i, seed) ->
-      let c = tiny_circuit i in
+(* 8. Jobs only schedule the chunk axis: at every width each matrix row
+   equals a per-vector detected_faults screen, and the matrix and the
+   faultsim.* counters it tallies are identical. s444's 763 collapsed faults
+   span 13 chunks — enough for real fan-out. *)
+let qcheck_matrix_jobs_invariance =
+  let c = Synth.generate_named "s444" in
+  let faults = Fault_gen.collapsed c in
+  QCheck.Test.make ~name:"matrix and counters jobs-invariant" ~count:5
+    QCheck.small_int (fun seed ->
       let rng = Rng.create (Int64.of_int seed) in
-      let faults = random_faults rng c in
-      let vectors = random_vectors rng c (2 + Rng.int rng 14) in
+      let vectors = random_vectors rng c (1 + Rng.int rng 6) in
       List.for_all
         (fun mode ->
-          let screen jobs batch =
-            Fault_sim.detected_matrix (Fault_sim.create ~mode ~jobs ~batch c) ~vectors faults
+          let screen jobs =
+            let sim = Fault_sim.create ~mode ~jobs c in
+            zero_counters ();
+            let matrix = Fault_sim.detected_matrix sim ~vectors faults in
+            let ctr = counters_snapshot () in
+            let rows_ok =
+              Array.for_all2
+                (fun row (pi, state) -> row = Fault_sim.detected_faults sim ~pi ~state faults)
+                matrix vectors
+            in
+            zero_counters ();
+            (rows_ok, (matrix, ctr))
           in
-          let base = screen 1 1 in
-          List.for_all
-            (fun (jobs, batch) -> screen jobs batch = base)
-            [ (1, 16); (4, 1); (4, 3); (2, 16) ])
+          let ok1, base = screen 1 in
+          ok1
+          && List.for_all
+               (fun jobs ->
+                 let ok, r = screen jobs in
+                 ok && r = base)
+               [ 2; 4 ])
         [ Fault_sim.Event_driven; Fault_sim.Full ])
 
 let test_matrix_empty_vectors () =
@@ -323,35 +335,6 @@ let test_matrix_empty_vectors () =
   Alcotest.(check int)
     "no vectors, no rows" 0
     (Array.length (Fault_sim.detected_matrix sim ~vectors:[||] faults))
-
-(* 9. Work counters are batch- and jobs-invariant: per-vector work is fixed,
-   shards merge by summation, and the batch axis only regroups it. *)
-let test_counters_merge_across_batch () =
-  let c = Synth.generate_named "s444" in
-  let faults = Fault_gen.collapsed c in
-  let rng = Rng.create 7L in
-  let vectors = Array.init 11 (fun _ -> random_stimulus rng c) in
-  List.iter
-    (fun mode ->
-      let tally jobs batch =
-        let sim = Fault_sim.create ~mode ~jobs ~batch c in
-        Fault_sim.reset_counters ();
-        let matrix = Fault_sim.detected_matrix sim ~vectors faults in
-        (matrix, counters_snapshot ())
-      in
-      let matrix1, ctr1 = tally 1 1 in
-      List.iter
-        (fun (jobs, batch) ->
-          let matrixj, ctrj = tally jobs batch in
-          Alcotest.(check bool)
-            (Printf.sprintf "matrix identical at jobs=%d batch=%d" jobs batch)
-            true (matrix1 = matrixj);
-          Alcotest.(check bool)
-            (Printf.sprintf "counters identical at jobs=%d batch=%d" jobs batch)
-            true (ctr1 = ctrj))
-        [ (1, 16); (2, 4); (4, 1); (4, 16) ])
-    [ Fault_sim.Event_driven; Fault_sim.Full ];
-  Fault_sim.reset_counters ()
 
 (* --- cone index -------------------------------------------------------- *)
 
@@ -424,10 +407,8 @@ let () =
       ( "matrix",
         [
           QCheck_alcotest.to_alcotest qcheck_matrix_equals_per_vector;
-          QCheck_alcotest.to_alcotest qcheck_batch_and_jobs_invariance;
+          QCheck_alcotest.to_alcotest qcheck_matrix_jobs_invariance;
           Alcotest.test_case "empty vector set" `Quick test_matrix_empty_vectors;
-          Alcotest.test_case "counters merge identically across batch" `Quick
-            test_counters_merge_across_batch;
         ] );
       ( "cones",
         [

@@ -241,19 +241,6 @@ let test_coverage_of_flags () =
   Alcotest.(check int) "detected counted" 3 c.Coverage.detected;
   Alcotest.(check (float 0.0001)) "coverage" 1.0 (Coverage.fault_coverage c)
 
-(* Regression: a malformed TVS_BATCH used to fall back to 16 silently; it
-   must still fall back, but with a warning through Tvs_util.Env. *)
-let test_default_batch_env () =
-  let before = Tvs_util.Env.warning_count () in
-  Unix.putenv "TVS_BATCH" "lots";
-  Alcotest.(check int) "bad TVS_BATCH falls back to 16" 16 (Fault_sim.default_batch ());
-  Alcotest.(check int) "and warns" (before + 1) (Tvs_util.Env.warning_count ());
-  Alcotest.(check int) "re-read stays quiet" 16 (Fault_sim.default_batch ());
-  Alcotest.(check int) "no duplicate warning" (before + 1) (Tvs_util.Env.warning_count ());
-  Unix.putenv "TVS_BATCH" "8";
-  Alcotest.(check int) "valid TVS_BATCH wins" 8 (Fault_sim.default_batch ());
-  Unix.putenv "TVS_BATCH" "16"
-
 let () =
   Alcotest.run "fault"
     [
@@ -287,5 +274,4 @@ let () =
           Alcotest.test_case "per-state length check" `Quick test_per_state_length_check;
           QCheck_alcotest.to_alcotest qcheck_same_means_same;
         ] );
-      ("knobs", [ Alcotest.test_case "TVS_BATCH misconfiguration" `Quick test_default_batch_env ]);
     ]

@@ -50,6 +50,18 @@ let test_run_flow_deterministic () =
   Alcotest.(check int) "same TV" a.Experiments.tv b.Experiments.tv;
   Alcotest.(check (float 0.00001)) "same m" a.Experiments.m b.Experiments.m
 
+(* Regression: a flop-free netlist has no chain to stitch through, so the
+   flow refuses it with a typed Build_error instead of failing deep inside
+   the chain model. *)
+let test_run_flow_needs_flops () =
+  List.iter
+    (fun file ->
+      let c = Tvs_verilog.Loader.load_file (Filename.concat "../examples/verilog" file) in
+      let prep = Prep.of_circuit c in
+      Alcotest.check_raises file (Circuit.Build_error "stitching needs flip-flops") (fun () ->
+          ignore (Experiments.run_flow ~label:"flop-free" prep)))
+    [ "c17.v"; "mux4_ref.bench" ]
+
 let test_table1_text () =
   let out = Experiments.table1 () in
   List.iter
@@ -127,9 +139,6 @@ let test_cli_table_and_jobs_bounds () =
   Alcotest.(check bool) "jobs 1 ok" true (Cli.check_jobs 1 = Ok 1);
   Alcotest.(check bool) "jobs 8 ok" true (Cli.check_jobs 8 = Ok 8);
   Alcotest.(check bool) "jobs 0 rejected" true (Result.is_error (Cli.check_jobs 0));
-  Alcotest.(check bool) "batch 1 ok" true (Cli.check_batch 1 = Ok 1);
-  Alcotest.(check bool) "batch 16 ok" true (Cli.check_batch 16 = Ok 16);
-  Alcotest.(check bool) "batch 0 rejected" true (Result.is_error (Cli.check_batch 0));
   Alcotest.(check bool) "scale 1.0 ok" true (Cli.check_scale 1.0 = Ok 1.0);
   Alcotest.(check bool) "scale 0.25 ok" true (Cli.check_scale 0.25 = Ok 0.25);
   List.iter
@@ -158,6 +167,7 @@ let () =
           Alcotest.test_case "table 4 rendering" `Quick test_small_table_renders;
           Alcotest.test_case "comparison rendering" `Quick test_comparison_renders;
           Alcotest.test_case "randtest small budget" `Quick test_randtest_small_budget;
+          Alcotest.test_case "run_flow needs flip-flops" `Quick test_run_flow_needs_flops;
         ] );
       ( "cli",
         [
