@@ -293,39 +293,30 @@ let qcheck_matrix_equals_per_vector =
                matrix vectors)
         [ Fault_sim.Event_driven; Fault_sim.Full ])
 
-(* 8. Jobs only schedule the chunk axis: at every width each matrix row
-   equals a per-vector detected_faults screen, and the matrix and the
-   faultsim.* counters it tallies are identical. s444's 763 collapsed faults
-   span 13 chunks — enough for real fan-out. *)
-let qcheck_matrix_jobs_invariance =
-  let c = Synth.generate_named "s444" in
-  let faults = Fault_gen.collapsed c in
-  QCheck.Test.make ~name:"matrix and counters jobs-invariant" ~count:5
-    QCheck.small_int (fun seed ->
+(* 8. How the vectors are grouped into detected_matrix calls, like jobs, is
+   a pure scheduling choice: one call over up to 16 vectors returns the same
+   rows as one call per vector (batch=1) and as per-vector detected_faults
+   screens, at every jobs width. *)
+let qcheck_batch_and_jobs_invariance =
+  QCheck.Test.make ~name:"batch=1 equals batch=16 across jobs" ~count:15
+    QCheck.(pair (int_range 0 24) small_int)
+    (fun (i, seed) ->
+      let c = tiny_circuit i in
       let rng = Rng.create (Int64.of_int seed) in
-      let vectors = random_vectors rng c (1 + Rng.int rng 6) in
+      let faults = random_faults rng c in
+      let vectors = random_vectors rng c (2 + Rng.int rng 15) in
       List.for_all
         (fun mode ->
-          let screen jobs =
-            let sim = Fault_sim.create ~mode ~jobs c in
-            zero_counters ();
-            let matrix = Fault_sim.detected_matrix sim ~vectors faults in
-            let ctr = counters_snapshot () in
-            let rows_ok =
-              Array.for_all2
-                (fun row (pi, state) -> row = Fault_sim.detected_faults sim ~pi ~state faults)
-                matrix vectors
-            in
-            zero_counters ();
-            (rows_ok, (matrix, ctr))
-          in
-          let ok1, base = screen 1 in
-          ok1
-          && List.for_all
-               (fun jobs ->
-                 let ok, r = screen jobs in
-                 ok && r = base)
-               [ 2; 4 ])
+          let base = Fault_sim.detected_matrix (Fault_sim.create ~mode c) ~vectors faults in
+          List.for_all
+            (fun jobs ->
+              let sim = Fault_sim.create ~mode ~jobs c in
+              Fault_sim.detected_matrix sim ~vectors faults = base
+              && Array.map (fun v -> (Fault_sim.detected_matrix sim ~vectors:[| v |] faults).(0)) vectors
+                 = base
+              && Array.map (fun (pi, state) -> Fault_sim.detected_faults sim ~pi ~state faults) vectors
+                 = base)
+            [ 1; 2; 4 ])
         [ Fault_sim.Event_driven; Fault_sim.Full ])
 
 let test_matrix_empty_vectors () =
@@ -335,6 +326,50 @@ let test_matrix_empty_vectors () =
   Alcotest.(check int)
     "no vectors, no rows" 0
     (Array.length (Fault_sim.detected_matrix sim ~vectors:[||] faults))
+
+(* 9. Work counters are grouping- and jobs-invariant: per-vector work is
+   fixed, shards merge by summation, and splitting the vector set over
+   several detected_matrix calls only regroups that work. faultsim.batches
+   counts calls, so it must equal the number of calls made. *)
+let test_counters_merge_across_batch () =
+  let c = Synth.generate_named "s444" in
+  let faults = Fault_gen.collapsed c in
+  let rng = Rng.create 7L in
+  let vectors = Array.init 11 (fun _ -> random_stimulus rng c) in
+  let nv = Array.length vectors in
+  let work ctr = List.filter (fun (name, _) -> name <> "faultsim.batches") ctr in
+  List.iter
+    (fun mode ->
+      let tally jobs batch =
+        let sim = Fault_sim.create ~mode ~jobs c in
+        zero_counters ();
+        let groups =
+          List.init ((nv + batch - 1) / batch) (fun g ->
+              Array.sub vectors (g * batch) (min batch (nv - (g * batch))))
+        in
+        let matrix =
+          Array.concat (List.map (fun vs -> Fault_sim.detected_matrix sim ~vectors:vs faults) groups)
+        in
+        (matrix, counters_snapshot (), List.length groups)
+      in
+      let matrix1, ctr1, _ = tally 1 nv in
+      List.iter
+        (fun (jobs, batch) ->
+          let matrixj, ctrj, calls = tally jobs batch in
+          Alcotest.(check bool)
+            (Printf.sprintf "matrix identical at jobs=%d batch=%d" jobs batch)
+            true (matrix1 = matrixj);
+          Alcotest.(check bool)
+            (Printf.sprintf "work counters identical at jobs=%d batch=%d" jobs batch)
+            true
+            (work ctr1 = work ctrj);
+          Alcotest.(check bool)
+            (Printf.sprintf "one batch per call at jobs=%d batch=%d" jobs batch)
+            true
+            (List.assoc_opt "faultsim.batches" ctrj = Some (Metrics.Counter_v calls)))
+        [ (1, 1); (1, 4); (2, 4); (4, 1); (4, nv); (2, 3) ])
+    [ Fault_sim.Event_driven; Fault_sim.Full ];
+  zero_counters ()
 
 (* --- cone index -------------------------------------------------------- *)
 
@@ -407,8 +442,10 @@ let () =
       ( "matrix",
         [
           QCheck_alcotest.to_alcotest qcheck_matrix_equals_per_vector;
-          QCheck_alcotest.to_alcotest qcheck_matrix_jobs_invariance;
+          QCheck_alcotest.to_alcotest qcheck_batch_and_jobs_invariance;
           Alcotest.test_case "empty vector set" `Quick test_matrix_empty_vectors;
+          Alcotest.test_case "counters merge identically across batch" `Quick
+            test_counters_merge_across_batch;
         ] );
       ( "cones",
         [
