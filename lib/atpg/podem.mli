@@ -29,6 +29,9 @@ val default_config : config
 (** 100 backtracks, SCOAP-guided, in line with classic ATPG practice. *)
 
 type ctx
+(** Mutable scratch for one circuit: the flat gate tables, the current
+    five-valued values, the undo trail and the cone stamps. One domain at a
+    time may use a [ctx]; give each domain its own. *)
 
 val create : ?scoap:Scoap.t -> Tvs_netlist.Circuit.t -> ctx
 (** Pre-computes SCOAP guidance (unless supplied) and allocates simulation
@@ -44,4 +47,16 @@ val generate :
   Tvs_fault.Fault.t ->
   result
 (** [constraints] has one entry per scan cell ([X] = free); defaults to all
-    free. Raises [Invalid_argument] on length mismatch. *)
+    free. Raises [Invalid_argument] on length mismatch.
+
+    The fault-free implication of the constraints is kept in [ctx] and
+    reused while later calls pass the same array (physical identity), so do
+    not mutate an array in place between calls on one [ctx]. A fault whose
+    fault-free site value the constraints already pin to the stuck value
+    returns at once, with the verdict the search would give.
+
+    Each call adds to the stable counters [podem.detected],
+    [podem.untestable], [podem.aborted] (its verdict), [podem.decisions],
+    [podem.backtracks], [podem.implications] (nets evaluated by
+    implication), [podem.base_evals] (full fault-free evaluations) and
+    [podem.screened]. *)

@@ -58,18 +58,6 @@ let eval_ternary kind inputs =
   | Not -> t_not inputs.(0)
   | Buf -> inputs.(0)
 
-let eval_fivev kind inputs =
-  let open Tvs_logic.Fivev in
-  match kind with
-  | And -> fold_bool f_and One inputs
-  | Nand -> f_not (fold_bool f_and One inputs)
-  | Or -> fold_bool f_or Zero inputs
-  | Nor -> f_not (fold_bool f_or Zero inputs)
-  | Xor -> fold_bool f_xor Zero inputs
-  | Xnor -> f_not (fold_bool f_xor Zero inputs)
-  | Not -> f_not inputs.(0)
-  | Buf -> inputs.(0)
-
 let eval_word kind inputs mask =
   let fold op seed =
     let acc = ref seed in

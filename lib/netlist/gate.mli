@@ -23,8 +23,6 @@ val eval_bool : kind -> bool array -> bool
 
 val eval_ternary : kind -> Tvs_logic.Ternary.t array -> Tvs_logic.Ternary.t
 
-val eval_fivev : kind -> Tvs_logic.Fivev.t array -> Tvs_logic.Fivev.t
-
 val eval_word : kind -> int array -> int -> int
 (** [eval_word kind inputs mask] evaluates bit-parallel over machine words
     restricted to [mask] (bits outside [mask] are returned as 0). Each bit

@@ -12,6 +12,8 @@ module Cube = Tvs_atpg.Cube
 module Scoap = Tvs_atpg.Scoap
 module Podem = Tvs_atpg.Podem
 module Generator = Tvs_atpg.Generator
+module Baseline = Tvs_core.Baseline
+module Metrics = Tvs_obs.Metrics
 module Rng = Tvs_util.Rng
 
 let s27 = Tvs_circuits.S27.circuit ()
@@ -213,6 +215,130 @@ let test_podem_deterministic () =
       Alcotest.(check string) "same cube" (Cube.to_string a) (Cube.to_string b)
   | _ -> Alcotest.fail "expected detections")
 
+(* --- PODEM kernel: memo, screen, counters ------------------------------- *)
+
+let s444 = Tvs_circuits.Synth.generate_named "s444"
+let s444_faults = Fault_gen.collapsed s444
+let s444_scoap = Scoap.compute s444
+
+let outcome = function
+  | Podem.Detected cube -> "detected " ^ Cube.to_string cube
+  | Podem.Untestable -> "untestable"
+  | Podem.Aborted -> "aborted"
+
+(* A small pool of constraint arrays for s444: picking the same physical
+   array twice in a row hits the fault-free memo, switching misses it. *)
+let constraint_pool rng =
+  let nflops = Circuit.num_flops s444 in
+  Array.init 3 (fun k ->
+      Array.init nflops (fun _ ->
+          match Rng.int rng (2 + k) with
+          | 0 -> Ternary.Zero
+          | 1 -> Ternary.One
+          | _ -> Ternary.X))
+
+(* One context reused across interleaved faults, constraint arrays and
+   configurations must answer exactly like a fresh context per call: no
+   state leaks from one call into the next. *)
+let qcheck_podem_history_free =
+  QCheck.Test.make ~name:"verdicts independent of context history" ~count:12 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let pool = constraint_pool rng in
+      let shared = Podem.create ~scoap:s444_scoap s444 in
+      List.for_all
+        (fun _ ->
+          let fault = s444_faults.(Rng.int rng (Array.length s444_faults)) in
+          let k = Rng.int rng (Array.length pool + 1) in
+          let constraints = if k = Array.length pool then None else Some pool.(k) in
+          let config =
+            {
+              Podem.backtrack_limit = [| 0; 1; 4; 32 |].(Rng.int rng 4);
+              guided = Rng.bool rng;
+            }
+          in
+          let fresh = Podem.create ~scoap:s444_scoap s444 in
+          let again = Option.map Array.copy constraints in
+          outcome (Podem.generate ~config ?constraints shared fault)
+          = outcome (Podem.generate ~config ?constraints:again fresh fault))
+        (List.init 40 Fun.id))
+
+(* Every constrained cube keeps its constrained bits and, filled either way,
+   detects its fault in the fault simulator. *)
+let qcheck_podem_cubes_sound =
+  QCheck.Test.make ~name:"constrained cubes respect constraints and detect" ~count:8
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let pool = constraint_pool rng in
+      let ctx = Podem.create ~scoap:s444_scoap s444 in
+      let sim = Fault_sim.create s444 in
+      List.for_all
+        (fun _ ->
+          let fault = s444_faults.(Rng.int rng (Array.length s444_faults)) in
+          let constraints = pool.(Rng.int rng (Array.length pool)) in
+          match Podem.generate ~constraints ctx fault with
+          | Podem.Untestable | Podem.Aborted -> true
+          | Podem.Detected cube ->
+              Array.for_all2
+                (fun c b -> Ternary.equal c Ternary.X || Ternary.equal c b)
+                constraints cube.Cube.scan
+              && List.for_all
+                   (fun fill ->
+                     let v = fill cube in
+                     (Fault_sim.detected_faults sim ~pi:v.Cube.pi ~state:v.Cube.scan [| fault |]).(0))
+                   [ Cube.fill_const false; Cube.fill_const true; Cube.fill_random rng ])
+        (List.init 30 Fun.id))
+
+let podem_count name = Metrics.counter_value (Metrics.counter name)
+
+(* The s953 baseline pinned: verdicts, search work and the baseline's
+   redundant/aborted lists equal those of the list-based kernel this one
+   replaced. That kernel re-evaluated the whole circuit on all 212 calls;
+   unconstrained calls now share one fault-free base. *)
+let test_podem_golden_s953 () =
+  let c = Tvs_circuits.Synth.generate_named "s953" in
+  let faults = Fault_gen.collapse c (Fault_gen.all c) in
+  Metrics.reset ~prefix:"podem." ();
+  let ctx = Podem.create c in
+  let b = Baseline.run ~rng:(Rng.of_string (Circuit.name c ^ ":baseline")) ctx ~faults in
+  Alcotest.(check int) "redundant" 93 (List.length b.Baseline.redundant);
+  Alcotest.(check int) "aborted" 9 (List.length b.Baseline.aborted);
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (podem_count name))
+    [
+      ("podem.detected", 110);
+      ("podem.untestable", 93);
+      ("podem.aborted", 9);
+      ("podem.decisions", 5865);
+      ("podem.backtracks", 2565);
+      ("podem.implications", 311152);
+      ("podem.base_evals", 1);
+      ("podem.screened", 0);
+    ]
+
+(* fig1's D/0 under A = 0: D's fault-free value is pinned to the stuck
+   value, so the call is screened and returns what the search would have:
+   Untestable, or Aborted with no backtrack budget at all. *)
+let test_podem_screen () =
+  let ctx = Podem.create fig1 in
+  let d0 = Tvs_circuits.Fig1.paper_fault fig1 "D/0" in
+  let constraints = [| Ternary.Zero; Ternary.X; Ternary.X |] in
+  Metrics.reset ~prefix:"podem." ();
+  let verdict backtrack_limit =
+    outcome (Podem.generate ~config:{ Podem.default_config with backtrack_limit } ~constraints ctx d0)
+  in
+  Alcotest.(check string) "budget left" "untestable" (verdict 100);
+  Alcotest.(check string) "no budget" "aborted" (verdict 0);
+  Alcotest.(check int) "both screened" 2 (podem_count "podem.screened");
+  Alcotest.(check int) "no decision" 0 (podem_count "podem.decisions")
+
+let test_podem_unconstrained_memo () =
+  Metrics.reset ~prefix:"podem." ();
+  let ctx = Podem.create ~scoap:s444_scoap s444 in
+  Array.iteri (fun i f -> if i mod 7 = 0 then ignore (Podem.generate ctx f)) s444_faults;
+  Alcotest.(check bool) "several calls" true (podem_count "podem.detected" > 10);
+  Alcotest.(check int) "one fault-free evaluation" 1 (podem_count "podem.base_evals")
+
 (* --- generator -------------------------------------------------------- *)
 
 let test_generator_s27_coverage () =
@@ -298,6 +424,12 @@ let () =
           Alcotest.test_case "constrained detection" `Quick test_podem_constrained_detection;
           Alcotest.test_case "impossible constraints" `Quick test_podem_impossible_constraints;
           Alcotest.test_case "deterministic" `Quick test_podem_deterministic;
+          QCheck_alcotest.to_alcotest qcheck_podem_history_free;
+          QCheck_alcotest.to_alcotest qcheck_podem_cubes_sound;
+          Alcotest.test_case "golden counts on s953" `Quick test_podem_golden_s953;
+          Alcotest.test_case "screened verdicts" `Quick test_podem_screen;
+          Alcotest.test_case "unconstrained calls share one base" `Quick
+            test_podem_unconstrained_memo;
         ] );
       ( "generator",
         [
